@@ -1484,7 +1484,7 @@ let e17_model () =
            ns)
       Svc.Model.all
   in
-  (* Part 2: the three planted mutants must each die with a short shrunk
+  (* Part 2: every planted mutant must die with a short shrunk
      schedule (the shipped corpus pins the same kills as regressions). *)
   sub "mutant kills (n = 2, shrunk schedules)";
   Printf.printf "%-20s %-6s | %-8s %8s %8s %8s\n" "mutant" "model" "killed"

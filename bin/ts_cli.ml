@@ -1378,8 +1378,8 @@ let loadgen_cmd =
           telemetry_out
       in
       let cfg =
-        { default with mode; arrival; clients; requests_per_client = requests;
-          pipeline; n; seed; think_us; backend; telemetry }
+        { mode; arrival; clients; requests_per_client = requests; pipeline; n;
+          seed; think_us; backend; telemetry }
       in
       let print_report (r : report) =
         Printf.printf "loadgen: %s  %s  seed=%d\n" r.lg_impl r.lg_mode seed;

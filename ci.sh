@@ -167,4 +167,10 @@ echo "== net2 sanity: fast E19 reactor bench emits schema-valid JSON =="
 dune exec bench/main.exe -- --fast --only e19
 dune exec bin/ts_cli.exe -- obs --validate BENCH_net2.json
 
+echo "== repo benchmark: gate selftest and a short wire-mixed run =="
+# Both exit 0 only when every stamp passed the correctness gate
+# ("correct": true); latency is reported, never thresholded here.
+sh perfbench/run.sh --selftest
+sh perfbench/run.sh --workload wire-mixed --seed 1 --seconds 2 --trace 0
+
 echo "== ci.sh: all green =="

@@ -82,6 +82,19 @@ let put_u32_be t v =
 (* Two's-complement 64-bit big-endian of an OCaml int (sign-extended),
    byte stores only — matches [Buffer.add_int64_be (Int64.of_int v)]
    without materializing the [Int64.t]. *)
+(* [pos] counts from the first pending byte, not from the start of the
+   storage: an append between taking the position and patching it may
+   compact the consumed prefix away, which moves every pending byte but
+   keeps its distance from [off]. *)
+let patch_u32_be t pos v =
+  if pos < 0 || pos + 4 > t.len - t.off then
+    invalid_arg "Buf.patch_u32_be: position outside the pending bytes";
+  let b = t.b and p = t.off + pos in
+  Bytes.unsafe_set b p (Char.unsafe_chr ((v lsr 24) land 0xff));
+  Bytes.unsafe_set b (p + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.unsafe_set b (p + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.unsafe_set b (p + 3) (Char.unsafe_chr (v land 0xff))
+
 let put_i64_be t v =
   ensure t 8;
   let b = t.b and p = t.len in

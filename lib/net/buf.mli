@@ -27,7 +27,9 @@ val offset : t -> int
 
 val reserve : t -> int -> int
 (** [reserve t n] ensures capacity for [n] more bytes and returns the
-    append position; write with [Bytes] stores, then [advance t n]. *)
+    append position; write with [Bytes] stores, then [advance t n].  The
+    position is an index into {!bytes}, so any later append may
+    invalidate it; use {!patch_u32_be} to fill in a length afterwards. *)
 
 val advance : t -> int -> unit
 
@@ -37,6 +39,14 @@ val consume : t -> int -> unit
 val put_u8 : t -> int -> unit
 
 val put_u32_be : t -> int -> unit
+
+val patch_u32_be : t -> int -> int -> unit
+(** [patch_u32_be t pos v] overwrites the four pending bytes starting
+    [pos] bytes after the first pending byte with [v], big-endian.  Take
+    [pos] as [length t] before appending the placeholder: unlike an index
+    into {!bytes}, it stays valid across appends that compact the buffer
+    (but not across {!consume}).  Raises [Invalid_argument] when the four
+    bytes are not all pending. *)
 
 val put_i64_be : t -> int -> unit
 (** 8-byte big-endian two's complement of an OCaml int. *)

@@ -187,6 +187,7 @@ module Make (T : Timestamp.Intf.S) = struct
      | exception Failure msg ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
        fail "cannot connect to %s: %s" (Conn.addr_to_string addr) msg);
+    Conn.set_nodelay addr fd;
     let t =
       { conn = Conn.create fd;
         lease;

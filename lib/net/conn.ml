@@ -49,6 +49,18 @@ let domain_of = function
   | Unix_path _ -> Unix.PF_UNIX
   | Tcp _ -> Unix.PF_INET
 
+(* Turn Nagle's algorithm off on TCP sockets.  With it on, a write made
+   while earlier bytes are still unacknowledged is held back until the
+   ACK arrives, and a peer that has nothing to send back delays that ACK
+   by up to 40 ms: a pipelined burst whose replies leave in two writes
+   stalls for the whole delay.  Unix-domain sockets have no such delay. *)
+let set_nodelay addr fd =
+  match addr with
+  | Tcp _ -> (
+      try Unix.setsockopt fd Unix.TCP_NODELAY true
+      with Unix.Unix_error _ -> ())
+  | Unix_path _ -> ()
+
 type t = {
   fd : Unix.file_descr;
   mutable rbuf : Bytes.t;

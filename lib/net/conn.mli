@@ -22,6 +22,12 @@ val sockaddr_of : addr -> Unix.sockaddr
 
 val domain_of : addr -> Unix.socket_domain
 
+val set_nodelay : addr -> Unix.file_descr -> unit
+(** Sets [TCP_NODELAY] on a socket of a [Tcp] address, so replies to a
+    pipelined burst never wait for the peer's delayed ACK; a no-op for
+    Unix-domain sockets.  Errors (a peer already gone) are ignored: the
+    next read or write reports them. *)
+
 type t
 
 val create : Unix.file_descr -> t

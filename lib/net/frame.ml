@@ -143,24 +143,23 @@ let add_vstr b s =
   Buf.put_string b s
 
 (* Frames are appended as [u32 placeholder][payload], then the length is
-   patched in — no intermediate payload string. *)
+   patched in — no intermediate payload string.  The mark is the
+   placeholder's distance from the buffer's first pending byte: appending
+   the payload may compact the consumed prefix (a partial write left
+   [offset > 0]), which moves the placeholder within the storage. *)
 let begin_frame b ver opcode =
-  let mark = Buf.reserve b 4 in
-  Buf.advance b 4;
+  let mark = Buf.length b in
+  Buf.put_u32_be b 0;
   Buf.put_u8 b ver;
   Buf.put_u8 b opcode;
   mark
 
 let end_frame b mark =
-  let len = Buf.reserve b 0 - mark - 4 in
+  let len = Buf.length b - mark - 4 in
   if len > max_payload then
     invalid_arg
       (Printf.sprintf "Frame: payload %d exceeds max %d" len max_payload);
-  let bytes = Buf.bytes b in
-  Bytes.set bytes mark (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set bytes (mark + 1) (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set bytes (mark + 2) (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set bytes (mark + 3) (Char.chr (len land 0xff))
+  Buf.patch_u32_be b mark len
 
 let check_version v =
   if v <> 1 && v <> 2 then

@@ -22,8 +22,23 @@
    - replies stay FIFO per connection: anything that completes while
      earlier requests are still in flight queues behind them.
 
-   The accept loop hands each new fd to a loop (connection id mod
-   io_threads) through a lock-free mailbox and wakes it via a self-pipe.
+   Nothing polls.  A pass that made no progress parks the loop's
+   doorbell ({!Svc.Service.park}), re-polls the head of every queue and
+   only then blocks in [select] — without a timeout, or until the
+   earliest owed lease's deadline.  The shard worker rings the doorbell
+   (one byte into the loop's self-pipe) after publishing a chunk that
+   holds one of the loop's tickets, but only while the loop is parked;
+   because the park precedes the re-poll and the publish precedes the
+   ring, one side always sees the other (DESIGN.md §15).  The anchor
+   refresher parks on a condition variable until the first lease
+   request, and its first publish rings every loop.
+
+   Every TCP socket runs with [TCP_NODELAY]: with Nagle on, the second
+   write of a burst's replies waits for the peer's delayed ACK (40 ms).
+
+   The accept loop hands each new fd to a loop round-robin (connection
+   id mod io_threads) through a lock-free mailbox and wakes it via the
+   same self-pipe.
 
    Protocol: both frame versions are served, each answered in the
    version it arrived in.  v2 stamps are encoded with the
@@ -112,6 +127,7 @@ module Make (T : Timestamp.Intf.S) = struct
     cv_conn : Conn.t;
     cv_id : int;
     cv_slot : slot;
+    cv_bell : Svc.Service.doorbell;  (* its loop's: rung on completions *)
     mutable cv_version : int;  (* latched from the peer's frames *)
     mutable cv_session : S.session option;
     cv_pending : pending Queue.t;
@@ -125,6 +141,8 @@ module Make (T : Timestamp.Intf.S) = struct
     lp_incoming : (int * Unix.file_descr) list Atomic.t;
     lp_wake_r : Unix.file_descr;
     lp_wake_w : Unix.file_descr;
+    lp_bell : Svc.Service.doorbell;  (* writes one byte to [lp_wake_w] *)
+    lp_scratch : Bytes.t;  (* the loop's wake-pipe drain buffer *)
     lp_live : int Atomic.t;
   }
 
@@ -144,6 +162,8 @@ module Make (T : Timestamp.Intf.S) = struct
     anchor_us : int;
     anchor : anchor option Atomic.t;
     anchor_demand : bool Atomic.t;  (* first lease request arms it *)
+    demand_m : Mutex.t;  (* the refresher parks on [demand_c] until armed *)
+    demand_c : Condition.t;
     domains_spawned : int Atomic.t;
     stop_requested : bool Atomic.t;  (* a client sent Stop *)
     stopping : bool Atomic.t;  (* shutdown underway *)
@@ -281,9 +301,16 @@ module Make (T : Timestamp.Intf.S) = struct
     | None ->
       (* lazily: control connections (ping/stats/stop/compare) must not
          consume one of a long-lived object's n sessions *)
-      let s = S.open_session t.svc in
+      let s = S.open_session ~doorbell:cv.cv_bell t.svc in
       cv.cv_session <- Some s;
       s
+
+  (* The first lease request wakes the parked refresher. *)
+  let arm_refresher t =
+    Mutex.lock t.demand_m;
+    Atomic.set t.anchor_demand true;
+    Condition.signal t.demand_c;
+    Mutex.unlock t.demand_m
 
   (* FIFO-preserving reply: immediate only when nothing is in flight. *)
   let reply cv r =
@@ -325,8 +352,7 @@ module Make (T : Timestamp.Intf.S) = struct
                submit queue.  One-shot implementations burn a fresh pid
                per anchor and always take the queued path. *)
             if t.read_fast_path && T.kind = `Long_lived then begin
-              if not (Atomic.get t.anchor_demand) then
-                Atomic.set t.anchor_demand true;
+              if not (Atomic.get t.anchor_demand) then arm_refresher t;
               match Atomic.get t.anchor with
               | Some a ->
                 reply cv
@@ -381,26 +407,62 @@ module Make (T : Timestamp.Intf.S) = struct
     bump cv.cv_slot.k_conns (-1);
     ignore (Atomic.fetch_and_add loop.lp_live (-1))
 
-  let drain_wake_pipe fd =
-    let scratch = Bytes.create 64 in
-    let rec go () =
-      match Unix.read fd scratch 0 64 with
-      | 64 -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK
-                                   | Unix.EINTR), _, _) -> ()
+  let rec drain_wake_pipe loop =
+    match Unix.read loop.lp_wake_r loop.lp_scratch 0 64 with
+    | 64 -> drain_wake_pipe loop
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK
+                                 | Unix.EINTR), _, _) -> ()
+
+  (* Whether [progress] can move past this queue head right now. *)
+  let head_ready t = function
+    | P_resp _ -> true
+    | P_stamp tk | P_range { tk; _ } -> S.poll tk
+    | P_wait_anchor { deadline; _ } ->
+      Option.is_some (Atomic.get t.anchor) || Unix.gettimeofday () > deadline
+
+  (* Graceful drain at shutdown: answer everything in flight (the service
+     is still running — [stop] joins the loops before stopping it), push
+     the bytes out best-effort.  Bounded by a one-second deadline per
+     connection; polls with a fixed quantum, being a once-per-server
+     path. *)
+  let drain_conn t cv =
+    let deadline = Unix.gettimeofday () +. 1.0 in
+    let rec drain_pending () =
+      if not (Queue.is_empty cv.cv_pending)
+         && Unix.gettimeofday () < deadline
+      then
+        if progress t cv then drain_pending ()
+        else begin
+          sleep_us 50;
+          drain_pending ()
+        end
     in
-    go ()
+    drain_pending ();
+    let rec flush_out () =
+      if Conn.pending_out cv.cv_conn > 0 && Unix.gettimeofday () < deadline
+      then
+        match Conn.try_flush cv.cv_conn with
+        | `Flushed | `Closed -> ()
+        | `Partial ->
+          (match Unix.select [] [ Conn.fd cv.cv_conn ] [] 0.05 with
+           | _ -> ()
+           | exception Unix.Unix_error _ -> ());
+          flush_out ()
+    in
+    try flush_out () with _ -> ()
 
   let io_loop t loop () =
     let conns : (Unix.file_descr, cstate) Hashtbl.t = Hashtbl.create 32 in
     let adopt (cid, fd) =
+      Conn.set_nodelay t.addr fd;
       let conn = Conn.create fd in
       Conn.set_nonblock conn;
       let cv =
         { cv_conn = conn;
           cv_id = cid;
           cv_slot = t.slots.(cid mod Array.length t.slots);
+          cv_bell = loop.lp_bell;
           cv_version = Frame.version;
           cv_session = None;
           cv_pending = Queue.create ();
@@ -435,140 +497,118 @@ module Make (T : Timestamp.Intf.S) = struct
       in
       go ()
     in
-    let on_readable cv =
-      match Conn.try_refill cv.cv_conn with
-      | `Eof -> cv.cv_read_eof <- true
-      | `Would_block -> ()
-      | `Data -> parse cv
+    let on_readable fd =
+      match Hashtbl.find_opt conns fd with
+      | None -> ()
+      | Some cv -> (
+          match Conn.try_refill cv.cv_conn with
+          | `Eof -> cv.cv_read_eof <- true
+          | `Would_block -> ()
+          | `Data -> parse cv)
     in
-    let idle_spins = ref 0 in
+    let on_writable fd =
+      match Hashtbl.find_opt conns fd with
+      | Some cv -> (
+          match Conn.try_flush cv.cv_conn with
+          | `Closed -> cv.cv_dead <- true
+          | `Flushed | `Partial -> ())
+      | None -> ()
+    in
+    (* Per-pass state and the passes over [conns], allocated once: a pass
+       allocates only the fd lists [select] takes. *)
+    let made_progress = ref false in
+    let dead = ref [] in
+    let ready = ref false in
+    let earliest = ref infinity in  (* first lease-anchor deadline *)
+    let rds = ref [] and wrs = ref [] in
+    let serve_pass fd cv =
+      if cv.cv_dead then dead := (fd, cv) :: !dead
+      else begin
+        if progress t cv then made_progress := true;
+        (* opportunistic flush: most replies leave in one write *)
+        if Conn.pending_out cv.cv_conn > 0 then begin
+          match Conn.try_flush cv.cv_conn with
+          | `Closed -> cv.cv_dead <- true
+          | `Flushed | `Partial -> ()
+        end;
+        sync_bytes cv;
+        if cv.cv_dead
+           || (cv.cv_read_eof
+               && Queue.is_empty cv.cv_pending
+               && Conn.pending_out cv.cv_conn = 0)
+        then dead := (fd, cv) :: !dead
+      end
+    in
+    let reap (fd, cv) =
+      Hashtbl.remove conns fd;
+      close_conn loop cv
+    in
+    let interest_pass fd cv =
+      if not (Queue.is_empty cv.cv_pending) then begin
+        let p = Queue.peek cv.cv_pending in
+        if head_ready t p then ready := true;
+        match p with
+        | P_wait_anchor { deadline; _ } ->
+          if deadline < !earliest then earliest := deadline
+        | P_resp _ | P_stamp _ | P_range _ -> ()
+      end;
+      if
+        (not cv.cv_read_eof)
+        && Conn.pending_out cv.cv_conn < out_hiwater
+        && Queue.length cv.cv_pending < max_inflight
+      then rds := fd :: !rds;
+      if Conn.pending_out cv.cv_conn > 0 then wrs := fd :: !wrs
+    in
+    let check_alive _ cv =
+      match Unix.fstat (Conn.fd cv.cv_conn) with
+      | exception _ -> cv.cv_dead <- true
+      | _ -> ()
+    in
     let finished = ref false in
     while not !finished do
       drain_incoming ();
       if Atomic.get t.stopping then begin
-        (* Graceful drain: answer everything in flight (the service is
-           still running — [stop] joins the loops before stopping it),
-           push the bytes out best-effort, then close. *)
         Hashtbl.iter
           (fun _ cv ->
-             if not cv.cv_dead then begin
-               let deadline = Unix.gettimeofday () +. 1.0 in
-               let rec drain_pending () =
-                 if not (Queue.is_empty cv.cv_pending)
-                    && Unix.gettimeofday () < deadline
-                 then
-                   if progress t cv then drain_pending ()
-                   else begin
-                     sleep_us 50;
-                     drain_pending ()
-                   end
-               in
-               drain_pending ();
-               let rec flush_out () =
-                 if Conn.pending_out cv.cv_conn > 0
-                    && Unix.gettimeofday () < deadline
-                 then
-                   match Conn.try_flush cv.cv_conn with
-                   | `Flushed | `Closed -> ()
-                   | `Partial ->
-                     (match
-                        Unix.select [] [ Conn.fd cv.cv_conn ] [] 0.05
-                      with
-                      | _ -> ()
-                      | exception Unix.Unix_error _ -> ());
-                     flush_out ()
-               in
-               (try flush_out () with _ -> ())
-             end;
+             if not cv.cv_dead then drain_conn t cv;
              close_conn loop cv)
           conns;
         Hashtbl.reset conns;
         finished := true
       end
       else begin
-        let made_progress = ref false in
-        let dead = ref [] in
-        Hashtbl.iter
-          (fun fd cv ->
-             if cv.cv_dead then dead := (fd, cv) :: !dead
-             else begin
-               if progress t cv then made_progress := true;
-               (* opportunistic flush: most replies leave in one write *)
-               if Conn.pending_out cv.cv_conn > 0 then begin
-                 match Conn.try_flush cv.cv_conn with
-                 | `Closed -> cv.cv_dead <- true
-                 | `Flushed | `Partial -> ()
-               end;
-               sync_bytes cv;
-               if cv.cv_dead
-                  || (cv.cv_read_eof
-                      && Queue.is_empty cv.cv_pending
-                      && Conn.pending_out cv.cv_conn = 0)
-               then dead := (fd, cv) :: !dead
-             end)
-          conns;
-        List.iter
-          (fun (fd, cv) ->
-             Hashtbl.remove conns fd;
-             close_conn loop cv)
-          !dead;
-        let have_pending = ref false in
-        let rds = ref [ loop.lp_wake_r ] and wrs = ref [] in
-        Hashtbl.iter
-          (fun fd cv ->
-             if not (Queue.is_empty cv.cv_pending) then have_pending := true;
-             if
-               (not cv.cv_read_eof)
-               && Conn.pending_out cv.cv_conn < out_hiwater
-               && Queue.length cv.cv_pending < max_inflight
-             then rds := fd :: !rds;
-             if Conn.pending_out cv.cv_conn > 0 then wrs := fd :: !wrs)
-          conns;
-        (* Busy-poll while tickets are in flight (mirrors the service's
-           await spin), backing off once the batch pipeline is clearly
-           behind; idle loops park in select for 50ms and are woken by
-           the accept loop's self-pipe. *)
+        made_progress := false;
+        dead := [];
+        Hashtbl.iter serve_pass conns;
+        List.iter reap !dead;
+        (* Park-and-ring.  When this pass did nothing, announce the park
+           before the interest pass re-polls every queue head: a ticket
+           published before the announcement is seen by the re-poll, one
+           published after it makes the worker ring the wake pipe (see
+           Svc.Service.doorbell).  Either way [select] cannot sleep
+           through a completion, so it blocks with no timeout — or until
+           the earliest lease-anchor deadline. *)
+        if not !made_progress then Svc.Service.park loop.lp_bell;
+        ready := !made_progress;
+        earliest := infinity;
+        rds := [ loop.lp_wake_r ];
+        wrs := [];
+        Hashtbl.iter interest_pass conns;
         let timeout =
-          if !made_progress then begin
-            idle_spins := 0;
-            0.0
-          end
-          else if !have_pending then begin
-            incr idle_spins;
-            if !idle_spins < 2000 then 0.0 else 50e-6
-          end
-          else begin
-            idle_spins := 0;
-            0.05
-          end
+          if !ready then 0.0
+          else if !earliest = infinity then -1.0
+          else Float.max 0.0 (!earliest -. Unix.gettimeofday ())
         in
         match Unix.select !rds !wrs [] timeout with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-          (* a peer died between iterations; sweep on the next pass *)
-          Hashtbl.iter
-            (fun _ cv ->
-               match Unix.fstat (Conn.fd cv.cv_conn) with
-               | exception _ -> cv.cv_dead <- true
-               | _ -> ())
-            conns
+        | exception Unix.Unix_error (((Unix.EINTR | Unix.EBADF) as e), _, _) ->
+          Svc.Service.unpark loop.lp_bell;
+          (* EBADF: a peer died between iterations; sweep on the next pass *)
+          if e = Unix.EBADF then Hashtbl.iter check_alive conns
         | rds', wrs', _ ->
-          if List.memq loop.lp_wake_r rds' then drain_wake_pipe loop.lp_wake_r;
-          List.iter
-            (fun fd ->
-               match Hashtbl.find_opt conns fd with
-               | Some cv -> (
-                   match Conn.try_flush cv.cv_conn with
-                   | `Closed -> cv.cv_dead <- true
-                   | `Flushed | `Partial -> ())
-               | None -> ())
-            wrs';
-          List.iter
-            (fun fd ->
-               match Hashtbl.find_opt conns fd with
-               | Some cv -> on_readable cv
-               | None -> ())
-            rds'
+          Svc.Service.unpark loop.lp_bell;
+          if List.memq loop.lp_wake_r rds' then drain_wake_pipe loop;
+          List.iter on_writable wrs';
+          List.iter on_readable rds'
       end
     done;
     (* Late arrivals raced shutdown: refuse them cleanly. *)
@@ -578,14 +618,17 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ------------------------- anchor refresher ---------------------- *)
 
-  (* Single-writer cache of a lease anchor.  The domain idles until the
+  (* Single-writer cache of a lease anchor.  The domain parks until the
      first Get_range arms [anchor_demand] (so a server that never grants
-     leases never consumes a session), then refreshes every
-     [anchor_us]. *)
+     leases never consumes a session), then refreshes every [anchor_us].
+     The first publish rings every loop: a lease owed before it
+     ([P_wait_anchor]) is waiting on exactly that. *)
   let refresher t () =
+    Mutex.lock t.demand_m;
     while not (Atomic.get t.stopping || Atomic.get t.anchor_demand) do
-      sleep_us 200
+      Condition.wait t.demand_c t.demand_m
     done;
+    Mutex.unlock t.demand_m;
     if not (Atomic.get t.stopping) then begin
       (* Sessions can be transiently exhausted (stamp connections hold
          theirs until close), so keep retrying: a waiting fast-path
@@ -606,10 +649,13 @@ module Make (T : Timestamp.Intf.S) = struct
         while !live && not (Atomic.get t.stopping) do
           (match S.get_ts sess with
            | r ->
+             let first = Option.is_none (Atomic.get t.anchor) in
              Atomic.set t.anchor
                (Some
                   { a_pid = r.S.pid; a_call = r.S.call; a_shard = r.S.shard;
-                    a_start = r.S.start_tick; a_ts = r.S.ts })
+                    a_start = r.S.start_tick; a_ts = r.S.ts });
+             if first then
+               Array.iter (fun l -> Svc.Service.ring l.lp_bell) t.loops
            | exception S.Stopped -> live := false
            | exception _ -> ());
           sleep_us t.anchor_us
@@ -618,14 +664,19 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* -------------------------- accept loop -------------------------- *)
 
+  let wake_byte = Bytes.make 1 '!'
+
+  (* One byte into a loop's self-pipe; a full pipe means it is already
+     awake. *)
+  let ring_pipe w =
+    try ignore (Unix.write w wake_byte 0 1) with Unix.Unix_error _ -> ()
+
+  let wake loop = ring_pipe loop.lp_wake_w
+
   (* select-with-timeout rather than a blocking accept: the loop polls
      the stopping flag, so shutdown never races a close() against a
      domain blocked in accept(2). *)
   let accept_loop t () =
-    let wake loop =
-      try ignore (Unix.write loop.lp_wake_w (Bytes.make 1 '!') 0 1)
-      with Unix.Unix_error _ -> ()  (* pipe full = already awake *)
-    in
     let dispatch fd =
       let cid = Atomic.fetch_and_add t.next_conn 1 in
       ignore (Atomic.fetch_and_add t.accepted 1);
@@ -668,9 +719,9 @@ module Make (T : Timestamp.Intf.S) = struct
     ignore (Atomic.fetch_and_add t.domains_spawned 1);
     Domain.spawn f
 
-  let start ?(batch_max = 64) ?(backoff_us = 50) ?(shards = 1)
-      ?(backend = `Boxed) ?(telemetry = false) ?(conn_slots = 4)
-      ?io_threads ?(read_fast_path = true) ?(anchor_us = 200) ~addr ~n () =
+  let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
+      ?(telemetry = false) ?(conn_slots = 4) ?io_threads
+      ?(read_fast_path = true) ?(anchor_us = 200) ~addr ~n () =
     if conn_slots <= 0 then
       invalid_arg "Server.start: conn_slots must be positive";
     let io_threads = match io_threads with Some k -> k | None -> shards in
@@ -678,7 +729,7 @@ module Make (T : Timestamp.Intf.S) = struct
       invalid_arg "Server.start: io_threads must be positive";
     if anchor_us <= 0 then
       invalid_arg "Server.start: anchor_us must be positive";
-    let svc = S.start ~batch_max ~backoff_us ~shards ~backend ~telemetry ~n () in
+    let svc = S.start ~batch_max ~shards ~backend ~telemetry ~n () in
     (match addr with
      | Conn.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
      | Conn.Tcp _ -> ());
@@ -702,6 +753,8 @@ module Make (T : Timestamp.Intf.S) = struct
       { lp_incoming = Atomic.make [];
         lp_wake_r = r;
         lp_wake_w = w;
+        lp_bell = Svc.Service.doorbell (fun () -> ring_pipe w);
+        lp_scratch = Bytes.create 64;
         lp_live = Atomic.make 0 }
     in
     let use_fast_path = read_fast_path && T.kind = `Long_lived in
@@ -727,6 +780,8 @@ module Make (T : Timestamp.Intf.S) = struct
         anchor_us;
         anchor = Atomic.make None;
         anchor_demand = Atomic.make false;
+        demand_m = Mutex.create ();
+        demand_c = Condition.create ();
         domains_spawned = Atomic.make 0;
         stop_requested = Atomic.make false;
         stopping = Atomic.make false;
@@ -770,13 +825,12 @@ module Make (T : Timestamp.Intf.S) = struct
        | Conn.Tcp _ -> ());
       (* wake every loop so it sees the flag, then join: loops drain
          their pending replies and close their connections *)
-      Array.iter
-        (fun l ->
-           try ignore (Unix.write l.lp_wake_w (Bytes.make 1 '!') 0 1)
-           with Unix.Unix_error _ -> ())
-        t.loops;
+      Array.iter wake t.loops;
       List.iter Domain.join t.loop_doms;
       t.loop_doms <- [];
+      Mutex.lock t.demand_m;
+      Condition.broadcast t.demand_c;
+      Mutex.unlock t.demand_m;
       (match t.anchor_dom with Some d -> Domain.join d | None -> ());
       t.anchor_dom <- None;
       Array.iter

@@ -7,9 +7,13 @@
     high-water mark the loop stops reading from it), and service
     requests are completed with the non-blocking
     {!Svc.Service.Make.poll}, so the domain count is independent of the
-    connection count.  The accept domain hands each new fd to a loop
-    (connection id mod io_threads) through a lock-free mailbox plus
-    self-pipe wakeup.  Replies stay FIFO per connection.
+    connection count.  A loop with nothing to do blocks in [select]:
+    the service rings its self-pipe when a ticket completes while it is
+    parked ({!Svc.Service.doorbell}), so no wakeup is polled for.  TCP
+    connections run with [TCP_NODELAY].  The accept domain hands each
+    new fd to a loop (connection id mod io_threads, round-robin) through
+    a lock-free mailbox plus the same self-pipe.  Replies stay FIFO per
+    connection.
 
     Both frame versions are served, each answered in the version it
     arrived in; v2 stamps are codec-encoded straight into the send
@@ -40,7 +44,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val start :
     ?batch_max:int ->
-    ?backoff_us:int ->
     ?shards:int ->
     ?backend:Multicore.Backend.choice ->
     ?telemetry:bool ->
@@ -57,8 +60,9 @@ module Make (T : Timestamp.Intf.S) : sig
       socket path is unlinked first; TCP sets [SO_REUSEADDR]), and
       spawns the I/O loop pool, the accept domain, and (long-lived
       implementations with [read_fast_path], the default) the anchor
-      refresher — at most [io_threads + 2] domains on top of the
-      service shards, independent of connection count.  [conn_slots]
+      refresher, which stays parked until the first lease request — at
+      most [io_threads + 2] domains on top of the service shards,
+      independent of connection count.  [conn_slots]
       (default 4) sizes the telemetry counter groups; [anchor_us]
       (default 200) is the snapshot refresh period.  On bind/listen
       failure the service is stopped and the exception re-raised. *)

@@ -9,9 +9,10 @@
    is finite; DESIGN.md section 13 states the correspondence and what each
    abstraction step does (and does not) hide.
 
-   Seeded mutants re-introduce three bugs the real code is structured to
+   Seeded mutants re-introduce four bugs the real code is structured to
    avoid — a dropped CAS retry, an end tick reserved before execution, a
-   stop that skips the in-flight drain — and exist to prove the invariants
+   stop that skips the in-flight drain, a park that skips its re-check —
+   and exist to prove the invariants
    can see them: the explorer must kill every mutant with a short schedule,
    committed under test/repro_corpus/ and replayed as a regression. *)
 
@@ -51,23 +52,26 @@ let gate = function
   | V_gate g -> g
   | _ -> invalid_arg "Model: expected the gate register"
 
-type model = Mpsc | Pool | Tick | Stop
+type model = Mpsc | Pool | Tick | Stop | Park
 
-let all = [ Mpsc; Pool; Tick; Stop ]
+let all = [ Mpsc; Pool; Tick; Stop; Park ]
 
 let name = function
   | Mpsc -> "mpsc"
   | Pool -> "pool"
   | Tick -> "tick"
   | Stop -> "stop"
+  | Park -> "park"
 
 let of_name = function
   | "mpsc" -> Ok Mpsc
   | "pool" -> Ok Pool
   | "tick" -> Ok Tick
   | "stop" -> Ok Stop
+  | "park" -> Ok Park
   | s ->
-    Error (Printf.sprintf "unknown model %S (expected mpsc|pool|tick|stop)" s)
+    Error
+      (Printf.sprintf "unknown model %S (expected mpsc|pool|tick|stop|park)" s)
 
 let describe = function
   | Mpsc ->
@@ -84,6 +88,11 @@ let describe = function
   | Stop ->
     "graceful stop: reject-new / drain-in-flight handshake between \
      anonymous clients, the draining worker and the stopper"
+  | Park ->
+    "park-and-ring wakeups: the parker raises its flag, re-checks for \
+     work, then blocks; publishers make work visible, then read the flag \
+     and ring only if it is up; never parked at quiescence with work \
+     pending"
 
 type mutant = { m_name : string; m_model : model; m_desc : string }
 
@@ -102,7 +111,13 @@ let mutants =
       m_model = Stop;
       m_desc =
         "the stopper raises the stop flag without waiting for in-flight \
-         requests to drain" } ]
+         requests to drain" };
+    { m_name = "park-no-recheck";
+      m_model = Park;
+      m_desc =
+        "the parker blocks right after raising its flag, without re-reading \
+         the inbox: a push that read the flag just before it rose is never \
+         rung" } ]
 
 let mutant_of_name s =
   match List.find_opt (fun m -> m.m_name = s) mutants with
@@ -572,6 +587,81 @@ let stop_sys ~mutant ~n =
     invariant;
     leaf }
 
+(* --------------------------- park --------------------------------- *)
+(* Registers: 0 = the inbox (count of pushed, not yet drained requests),
+   1 = the parked flag (0/1).  One protocol, two places in the code: the
+   shard worker parking on its condition variable ([Service.park_worker]
+   against [submit]'s push-then-read-[sleeping]) and the I/O loop parking
+   in select ([Svc.Service.park] and the interest pass's re-poll against
+   the worker's publish-then-[ring]).  Publishers are anonymous: make the
+   work visible (one rmw — the CAS loop is the mpsc model's job), read the
+   flag, and only if it is up ring: clear it and wake the parker, collapsed
+   to one rmw because the real ring clears under the mutex (worker) or by
+   exchange (doorbell) before any wake is delivered.  The parker drains
+   with one swap; finding nothing it raises the flag, re-reads the inbox —
+   backing out if work arrived — and otherwise blocks until the flag is
+   cleared (the condition wait / the select that the wake pipe ends).
+   Idle spinning before the park only repeats empty drains, so it is left
+   out.  Each publisher publishes once (the parker still parks once per
+   publication); the parker returns once it has drained them all, so a
+   lost wakeup leaves it blocked with the inbox nonempty. *)
+
+let park_sys ~mutant ~n =
+  let inbox = 0 and flag = 1 in
+  let parker = n in
+  let no_recheck = mutant = Some "park-no-recheck" in
+  let publisher =
+    let* _ = Shm.Prog.rmw inbox (fun v -> V_int (num v + 1)) in
+    let* f = Shm.Prog.read flag in
+    if num f = 1 then
+      let* _ = Shm.Prog.rmw flag (fun _ -> V_int 0) in
+      Shm.Prog.return R_submitted
+    else Shm.Prog.return R_submitted
+  in
+  let rec drain got =
+    if got >= n then Shm.Prog.return (R_worker got)
+    else
+      let* batch = Shm.Prog.swap inbox (V_int 0) in
+      if num batch > 0 then drain (got + num batch)
+      else
+        let* () = Shm.Prog.write flag (V_int 1) in
+        if no_recheck then block got
+        else
+          let* pending = Shm.Prog.read inbox in
+          if num pending > 0 then
+            let* () = Shm.Prog.write flag (V_int 0) in
+            drain got
+          else block got
+  and block got =
+    let* _ = Shm.Prog.await flag (fun v -> num v = 0) in
+    drain got
+  in
+  let supplier ~pid ~call:_ = if pid = parker then drain 0 else publisher in
+  let invariant cfg =
+    let parked =
+      match Shm.Sim.poised cfg parker with
+      | Shm.Sim.P_await (r, false) -> r = flag
+      | _ -> false
+    in
+    let quiescent =
+      List.for_all
+        (fun p -> Shm.Sim.poised cfg p = Shm.Sim.P_idle)
+        (List.init n Fun.id)
+    in
+    not (parked && quiescent && num (Shm.Sim.reg cfg inbox) > 0)
+  in
+  let leaf cfg =
+    num (Shm.Sim.reg cfg inbox) = 0
+    && List.mem (R_worker n) (completed cfg)
+  in
+  { procs = n + 1;
+    num_regs = 2;
+    init = [| V_int 0; V_int 0 |];
+    calls_per_proc = Array.append (Array.make n 1) [| 1 |];
+    supplier;
+    invariant;
+    leaf }
+
 (* ------------------------------------------------------------------ *)
 
 let sys ?mutant model ~n =
@@ -591,7 +681,8 @@ let sys ?mutant model ~n =
       | Mpsc -> mpsc_sys ~mutant ~n
       | Pool -> pool_sys ~mutant ~n
       | Tick -> tick_sys ~mutant ~n
-      | Stop -> stop_sys ~mutant ~n)
+      | Stop -> stop_sys ~mutant ~n
+      | Park -> park_sys ~mutant ~n)
 
 let initial s = Shm.Sim.of_regs ~n:s.procs ~regs:s.init
 

@@ -1,7 +1,7 @@
 (** Model-checked encodings of the serving layer's concurrency skeleton.
 
     The service ([Service], [Mpsc]) runs on real atomics, where tests can
-    only sample schedules.  This module re-states its four synchronization
+    only sample schedules.  This module re-states its five synchronization
     patterns as bounded {!Shm.Prog} programs over the simulator's
     sequentially consistent registers, so {!Shm.Explore} can enumerate
     {e every} schedule of a small instance and check the protocol
@@ -23,13 +23,19 @@
       the stop flag is up, nothing is in flight, nothing is pending, and
       everything accepted was served.  Clients are anonymous (one symmetry
       class), so this model exercises the process-symmetry quotient.
+    - {!Park} — park-and-ring wakeups (the shard worker's condition-variable
+      park against [submit], the I/O loop's select park against the
+      worker's doorbell ring): raise the flag, re-check, block, versus
+      publish, read the flag, ring.  The parker is never blocked at
+      quiescence while the inbox holds work.
 
     The model-to-code correspondence — which loops were bounded, which
     multi-step operations were collapsed, and why each collapse removes no
     observable interleaving — is tabulated in DESIGN.md section 13.
 
     {!mutants} are deliberately broken variants (dropped CAS retry, tick
-    reserved before execution, stop without drain) used to demonstrate the
+    reserved before execution, stop without drain, park without re-check)
+    used to demonstrate the
     invariants have teeth: the explorer kills each with a short schedule,
     checked into [test/repro_corpus/model-*.json]. *)
 
@@ -56,12 +62,12 @@ type result =
   | R_worker of int
   | R_stopper
 
-type model = Mpsc | Pool | Tick | Stop
+type model = Mpsc | Pool | Tick | Stop | Park
 
 val all : model list
 
 val name : model -> string
-(** ["mpsc" | "pool" | "tick" | "stop"]. *)
+(** ["mpsc" | "pool" | "tick" | "stop" | "park"]. *)
 
 val of_name : string -> (model, string) Stdlib.result
 

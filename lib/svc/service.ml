@@ -1,13 +1,38 @@
 let now_us () = Obs.Trace.Clock.now_s () *. 1e6
 
-(* One sleep quantum for all blocking waits.  On an oversubscribed box a
-   sleeping domain frees the core (and, unlike a spinning one, drops out of
-   the runnable set the GC's stop-the-world barrier has to cycle through);
-   50us is comfortably above the scheduler's wakeup granularity. *)
+(* One sleep quantum for the two waits that still poll: a client's
+   [await] past its spin budget and [stop]'s in-flight drain.  On an
+   oversubscribed box a sleeping domain frees the core (and, unlike a
+   spinning one, drops out of the runnable set the GC's stop-the-world
+   barrier has to cycle through); 50us is comfortably above the
+   scheduler's wakeup granularity.  Workers do not poll: they park. *)
 let sleep_s s =
   try Unix.sleepf s with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let await_sleep_s = 50e-6
+let sleep_quantum_s = 50e-6
+
+(* Park-and-ring for event-loop callers.  A loop that multiplexes tickets
+   with [poll] and wants to block sets [db_parked], re-polls the tickets
+   it waits on, and only then blocks; a worker publishes a chunk's done
+   flags and then reads [db_parked], calling [db_ring] only if it is set.
+   Both sides write their own atomic before reading the other's, and OCaml
+   atomics are sequentially consistent, so either the loop's re-poll sees
+   the done flag or the worker sees the loop parked: the wakeup cannot be
+   lost.  The exchange makes concurrent ringers ring once per park. *)
+type doorbell = { db_parked : bool Atomic.t; db_ring : unit -> unit }
+
+let no_doorbell = { db_parked = Atomic.make false; db_ring = ignore }
+
+let doorbell ring = { db_parked = Atomic.make false; db_ring = ring }
+
+let park db = Atomic.set db.db_parked true
+
+let unpark db = Atomic.set db.db_parked false
+
+let ring db =
+  if db != no_doorbell && Atomic.get db.db_parked
+     && Atomic.exchange db.db_parked false
+  then db.db_ring ()
 
 module Make (T : Timestamp.Intf.S) = struct
   type resp = {
@@ -36,6 +61,7 @@ module Make (T : Timestamp.Intf.S) = struct
     mutable r_ts : T.result;
     mutable r_resp_us : float;
     r_done : int Atomic.t;
+    mutable r_bell : doorbell;  (* the submitting session's *)
     mutable r_next : request;
   }
 
@@ -50,6 +76,7 @@ module Make (T : Timestamp.Intf.S) = struct
       r_ts = (Obj.magic 0 : T.result);
       r_resp_us = 0.0;
       r_done = Atomic.make 1;
+      r_bell = no_doorbell;
       r_next = nil }
 
   type shard = {
@@ -64,6 +91,13 @@ module Make (T : Timestamp.Intf.S) = struct
     mutable chunks : int;  (* end-tick reservation chunks *)
     batch_hdr : Obs.Hdr.t;  (* batch-size distribution; single recorder
                                (the shard's worker), so one shard *)
+    (* Worker parking: the worker sets [sleeping], re-checks its inbox and
+       only then waits on [park_c]; [submit] pushes and then reads
+       [sleeping], signalling only when it is set — the same
+       write-then-read-the-other's handshake as a doorbell. *)
+    sleeping : bool Atomic.t;
+    park_m : Mutex.t;
+    park_c : Condition.t;
   }
 
   type t = {
@@ -72,9 +106,6 @@ module Make (T : Timestamp.Intf.S) = struct
     n : int;
     shards : shard array;
     batch_max : int;
-    backoff_us : int;
-    backoff_s : float;  (* = backoff_us, precomputed so the sleep path
-                           performs no float boxing *)
     armed : bool;  (* Obs.Hooks.armed, sampled once at start *)
     instr : bool;  (* armed || telemetry: maintain live gauges *)
     pooled : int Atomic.t;  (* records parked in session free lists,
@@ -99,6 +130,7 @@ module Make (T : Timestamp.Intf.S) = struct
     s_pid : int;
     s_shard : int;
     mutable s_call : int;
+    s_bell : doorbell;
     pool : request array;
     mutable pool_top : int;
   }
@@ -119,10 +151,32 @@ module Make (T : Timestamp.Intf.S) = struct
       push shard req
     end
 
+  (* Wake a parked worker.  Taking the mutex orders the flag reset before
+     the worker's re-check of [sleeping] under the same mutex. *)
+  let wake shard =
+    Mutex.lock shard.park_m;
+    Atomic.set shard.sleeping false;
+    Condition.broadcast shard.park_c;
+    Mutex.unlock shard.park_m
+
   (* ------------------------------------------------------------------ *)
   (* Worker: drain the shard inbox in FIFO batches and execute.           *)
 
   let idle_spin_budget = 200
+
+  (* Park until [submit] or [stop] wakes the worker.  The re-check after
+     raising [sleeping] closes the race with a push that read the flag
+     before it was raised. *)
+  let park_worker t shard =
+    Atomic.set shard.sleeping true;
+    if Atomic.get shard.inbox == nil && not (Atomic.get t.stop_flag) then begin
+      Mutex.lock shard.park_m;
+      while Atomic.get shard.sleeping do
+        Condition.wait shard.park_c shard.park_m
+      done;
+      Mutex.unlock shard.park_m
+    end
+    else Atomic.set shard.sleeping false
 
   let worker t i () =
     let shard = t.shards.(i) in
@@ -174,19 +228,23 @@ module Make (T : Timestamp.Intf.S) = struct
           (* one wall-clock read per chunk; every record in the chunk
              shares the same boxed float *)
           let stamp = now_us () in
-          let rec publish node j =
+          (* [bell] is the doorbell still owed a ring: each distinct run
+             of one session's doorbell rings once, after its flags flip. *)
+          let rec publish node j bell =
             if j < k then begin
-              (* Capture the link before flipping the flag: the instant
-                 [r_done] is 1 the client may release and resubmit this
-                 very record, rewriting [r_next]. *)
-              let next = node.r_next in
+              (* Capture the link and the doorbell before flipping the
+                 flag: the instant [r_done] is 1 the client may release
+                 and resubmit this very record, rewriting both. *)
+              let next = node.r_next and b = node.r_bell in
               node.r_end_tick <- base + j;
               node.r_resp_us <- stamp;
               Atomic.set node.r_done 1;
-              publish next (j + 1)
+              if b != bell then ring bell;
+              publish next (j + 1) b
             end
+            else ring bell
           in
-          publish node 0;
+          publish node 0 no_doorbell;
           ignore (Atomic.fetch_and_add t.inflight (-k));
           chunks rest (total + k)
         end
@@ -203,7 +261,10 @@ module Make (T : Timestamp.Intf.S) = struct
              inbox here means there is nothing left to drain. *)
           if not (Atomic.get t.stop_flag) then begin
             incr idle;
-            if !idle > idle_spin_budget then sleep_s t.backoff_s
+            if !idle > idle_spin_budget then begin
+              park_worker t shard;
+              idle := 0
+            end
             else Domain.cpu_relax ();
             loop ()
           end
@@ -239,8 +300,8 @@ module Make (T : Timestamp.Intf.S) = struct
 
   (* ------------------------------------------------------------------ *)
 
-  let start ?(batch_max = 64) ?(backoff_us = 50) ?(shards = 1)
-      ?(backend = `Boxed) ?(telemetry = false) ~n () =
+  let start ?(batch_max = 64) ?(shards = 1) ?(backend = `Boxed)
+      ?(telemetry = false) ~n () =
     if n <= 0 then invalid_arg "Service.start: n must be positive";
     if shards <= 0 then invalid_arg "Service.start: shards must be positive";
     if batch_max <= 0 then
@@ -260,10 +321,11 @@ module Make (T : Timestamp.Intf.S) = struct
                 batches = 0;
                 max_batch = 0;
                 chunks = 0;
-                batch_hdr = Obs.Hdr.create ~shards:1 () });
+                batch_hdr = Obs.Hdr.create ~shards:1 ();
+                sleeping = Atomic.make false;
+                park_m = Mutex.create ();
+                park_c = Condition.create () });
         batch_max;
-        backoff_us;
-        backoff_s = float_of_int backoff_us *. 1e-6;
         armed;
         instr = armed || telemetry;
         pooled = Atomic.make 0;
@@ -281,7 +343,7 @@ module Make (T : Timestamp.Intf.S) = struct
 
   let backend t = t.backend
 
-  let open_session t =
+  let open_session ?(doorbell = no_doorbell) t =
     let id = Atomic.fetch_and_add t.next_session 1 in
     (match T.kind with
      | `Long_lived ->
@@ -294,6 +356,7 @@ module Make (T : Timestamp.Intf.S) = struct
       s_pid = id;
       s_shard = id mod Array.length t.shards;
       s_call = 0;
+      s_bell = doorbell;
       pool = Array.make pool_cap nil;
       pool_top = 0 }
 
@@ -306,6 +369,7 @@ module Make (T : Timestamp.Intf.S) = struct
       r_ts = (Obj.magic 0 : T.result);
       r_resp_us = 0.0;
       r_done = Atomic.make 0;
+      r_bell = no_doorbell;
       r_next = nil }
 
   let submit session =
@@ -349,6 +413,7 @@ module Make (T : Timestamp.Intf.S) = struct
        req.r_pid <- session.s_pid;
        req.r_call <- call);
     req.r_shard <- session.s_shard;
+    req.r_bell <- session.s_bell;
     req.r_end_tick <- 0;
     (* Reset the flag before the record becomes reachable from the inbox:
        a worker completing it must never race a stale done = 1. *)
@@ -357,6 +422,8 @@ module Make (T : Timestamp.Intf.S) = struct
     let shard = t.shards.(session.s_shard) in
     push shard req;
     if t.instr then Atomic.incr shard.depth;
+    (* after the push: see [park_worker] *)
+    if Atomic.get shard.sleeping then wake shard;
     req
 
   (* Non-blocking completion probe for event-loop callers that multiplex
@@ -372,7 +439,7 @@ module Make (T : Timestamp.Intf.S) = struct
         wait_done_from req (spins + 1)
       end
       else begin
-        sleep_s await_sleep_s;
+        sleep_s sleep_quantum_s;
         wait_done_from req await_spin_budget
       end
 
@@ -421,17 +488,18 @@ module Make (T : Timestamp.Intf.S) = struct
   let stop t =
     if Atomic.compare_and_set t.accepting true false then begin
       (* Drain politely: a brief cpu_relax spin for the common
-         almost-empty case, then the same idle-backoff quantum the
-         workers use, so a graceful stop never burns a core. *)
+         almost-empty case, then the sleep quantum, so a graceful stop
+         never burns a core. *)
       let spins = ref 0 in
       while Atomic.get t.inflight > 0 do
         if !spins < stop_spin_budget then begin
           incr spins;
           Domain.cpu_relax ()
         end
-        else sleep_s t.backoff_s
+        else sleep_s sleep_quantum_s
       done;
       Atomic.set t.stop_flag true;
+      Array.iter wake t.shards;
       List.iter Domain.join t.workers
     end
 

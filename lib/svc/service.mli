@@ -36,6 +36,36 @@
     as thin shims for one release (mirroring the PR 4→5 [Registry] probe
     shims) and will become internal afterwards. *)
 
+type doorbell
+(** A wakeup channel from the shard workers to an event loop that
+    multiplexes tickets with {!Make.poll} (the net reactor).  Sessions
+    opened with a doorbell have it rung after the worker publishes a
+    chunk holding one of their requests — but only while the loop is
+    parked, so a busy loop pays one atomic load per chunk and nothing
+    else.  The loop's side of the handshake: {!park}, re-poll every
+    ticket it would block on, block until rung (or another event), then
+    {!unpark}.  Because [park] precedes the re-poll and the worker's done
+    flip precedes its read of the parked flag (both sequentially
+    consistent), either the re-poll sees the completion or the worker
+    sees the loop parked and rings: no wakeup is lost. *)
+
+val doorbell : (unit -> unit) -> doorbell
+(** [doorbell ring] makes a doorbell that calls [ring] from the ringing
+    domain to wake its loop (the reactor writes one byte to its
+    self-pipe).  [ring] must tolerate a loop that is already awake.
+    Make one per loop. *)
+
+val park : doorbell -> unit
+(** Announce that the loop is about to block; re-poll afterwards. *)
+
+val unpark : doorbell -> unit
+(** The loop is awake again: rings stop until the next {!park}. *)
+
+val ring : doorbell -> unit
+(** Ring if the loop is parked (and clear the parked flag); otherwise one
+    atomic load.  Any domain that publishes something a parked loop waits
+    on calls this after publishing. *)
+
 module Make (T : Timestamp.Intf.S) : sig
   type t
 
@@ -66,7 +96,6 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val start :
     ?batch_max:int ->
-    ?backoff_us:int ->
     ?shards:int ->
     ?backend:Multicore.Backend.choice ->
     ?telemetry:bool ->
@@ -76,10 +105,12 @@ module Make (T : Timestamp.Intf.S) : sig
   (** Provisions [T.num_registers ~n] shared registers and spawns [shards]
       worker domains (default 1).  [batch_max] (default 64) caps how many
       requests a worker executes per batch; [batch_max = 1] is the
-      unbatched mode benchmarked by E13.  [backoff_us] (default 50) is the
-      idle sleep once a worker's spin budget is exhausted — workers poll,
-      so no wakeup signal can be missed.  [backend] (default [`Boxed])
-      selects the register layout ({!Multicore.Backend}).
+      unbatched mode benchmarked by E13.  An idle worker spins briefly,
+      then parks on a per-shard condition variable; {!submit} wakes it
+      (the worker re-checks its inbox after announcing the park, so no
+      submission is missed), and {!stop} wakes it to exit.  [backend]
+      (default [`Boxed]) selects the register layout
+      ({!Multicore.Backend}).
 
       [telemetry] (default false) maintains the live gauges behind
       {!telemetry_sources} — per-shard queue depth, batch-size HDR
@@ -90,15 +121,18 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val backend : t -> Multicore.Backend.choice
 
-  val open_session : t -> session
+  val open_session : ?doorbell:doorbell -> t -> session
   (** For long-lived implementations the session owns process id
       [session index] (at most [n] sessions).  For one-shot implementations
       every request consumes a globally fresh process id instead (at most
-      [n] requests service-wide); the session only pins the shard. *)
+      [n] requests service-wide); the session only pins the shard.
+      [doorbell] (default none) is rung when this session's requests
+      complete while its loop is parked; callers that {!await} need
+      none. *)
 
   val submit : session -> ticket
-  (** Enqueues one getTS; allocation-free once the session's request pool
-      has warmed up.  Not thread-safe per session (each session has one
+  (** Enqueues one getTS, waking the shard's worker if it is parked;
+      allocation-free once the session's request pool has warmed up.  Not thread-safe per session (each session has one
       owning client); different sessions submit concurrently freely.
       Raises {!Stopped} after {!stop}, [Invalid_argument] when a one-shot
       service has exhausted its [n] process ids.
@@ -140,9 +174,9 @@ module Make (T : Timestamp.Intf.S) : sig
 
   val stop : t -> unit
   (** Graceful shutdown: refuses new submissions, waits until every
-      in-flight request has been answered (brief spin, then idle-backoff
-      sleeps — stopping never burns a core), then stops and joins the
-      workers.  Idempotent. *)
+      in-flight request has been answered (brief spin, then fixed-quantum
+      sleeps — stopping never burns a core), then wakes, stops and joins
+      the workers.  Idempotent. *)
 
   type shard_stats = {
     served : int;

@@ -21,10 +21,11 @@ let cex_of outcome =
   | Stdlib.Ok (Shm.Explore.Ok _) -> Alcotest.fail "mutant survived exploration"
   | Stdlib.Error e -> Alcotest.fail e
 
-(* The three cheap models verify exhaustively at n = 2 in-process (mpsc
+(* The four cheap models verify exhaustively at n = 2 in-process (mpsc
    n = 2 takes seconds and is pinned by the committed bench matrix and the
-   CLI smoke instead).  The stop model is the symmetric one: its anonymous
-   clients must engage the quotient; pid-capturing models must not. *)
+   CLI smoke instead).  The stop and park models are the symmetric ones:
+   their anonymous clients must engage the quotient; pid-capturing models
+   must not. *)
 let clean_models_verify () =
   List.iter
     (fun (model, expect_symmetric) ->
@@ -34,7 +35,8 @@ let clean_models_verify () =
        Util.check_int (name ^ " untruncated") 0 s.truncated_paths;
        Util.check_bool (name ^ " quotient") expect_symmetric s.symmetric;
        Util.check_bool (name ^ " explored something") true (s.paths > 0))
-    [ (Svc.Model.Pool, false); (Svc.Model.Tick, false); (Svc.Model.Stop, true) ]
+    [ (Svc.Model.Pool, false); (Svc.Model.Tick, false); (Svc.Model.Stop, true);
+      (Svc.Model.Park, true) ]
 
 (* Verdicts are engine-independent: sequential, steal frontier and the
    root-split engine agree on the clean stop model, and a capped visited

@@ -273,6 +273,136 @@ let stamp_writer_zero_alloc () =
     (Printf.sprintf "10k stamps allocated %.0f minor words" delta)
     true (delta < 256.)
 
+(* A frame appended behind a partly flushed prefix: the send buffer
+   holds unconsumed bytes at a nonzero offset, and the frame's payload
+   outgrows the capacity, so the append compacts the buffer in the middle
+   of the frame.  The length prefix must still land on the frame's own
+   first four bytes. *)
+let frame_patch_survives_compaction () =
+  let b = Net.Buf.create ~cap:16 () in
+  Net.Buf.put_string b "0123456789";
+  Net.Buf.consume b 4;
+  Util.check_int "offset after partial flush" 4 (Net.Buf.offset b);
+  Net.Frame.write_resp b (Net.Frame.Err "hello");
+  let s = Net.Buf.contents b in
+  Util.check_bool "old pending bytes kept" true (String.sub s 0 6 = "456789");
+  let frame = String.sub s 6 (String.length s - 6) in
+  match Net.Frame.frame_length (Bytes.of_string frame) ~off:0
+          ~avail:(String.length frame) with
+  | `Length len ->
+    Util.check_int "length prefix covers the payload" (String.length frame - 4)
+      len;
+    (match Net.Frame.decode_resp (String.sub frame 4 len) with
+     | Ok (_, Net.Frame.Err m) -> Util.check_bool "payload decodes" true (m = "hello")
+     | Ok _ -> Alcotest.fail "decoded another response"
+     | Error e -> Alcotest.fail (Net.Frame.error_to_string e))
+  | `Need_more -> Alcotest.fail "length prefix promises more than was written"
+  | `Error e -> Alcotest.fail (Net.Frame.error_to_string e)
+
+(* [Buf] against a [string] oracle: random interleavings of appends,
+   partial consumes (a socket taking some of the pending bytes), raw
+   reserve/advance writes, length patches taken before later appends,
+   and whole frames.  A small initial capacity makes most appends
+   compact or grow the storage. *)
+type buf_op =
+  | B_u8 of int
+  | B_u32 of int
+  | B_i64 of int
+  | B_varint of int
+  | B_string of string
+  | B_consume of int  (* taken modulo the pending length + 1 *)
+  | B_reserve of string  (* written through reserve/bytes/advance *)
+  | B_mark  (* a u32 placeholder, remembered for a later patch *)
+  | B_patch of int  (* patch the oldest outstanding placeholder *)
+  | B_frame of string  (* Frame.write_resp (Err s) *)
+
+let gen_buf_op =
+  let open QCheck2.Gen in
+  let small = string_size (int_range 0 40) in
+  frequency
+    [ (2, map (fun v -> B_u8 v) (int_range 0 255));
+      (2, map (fun v -> B_u32 v) (int_range 0 0xffff_ffff));
+      (2, map (fun v -> B_i64 v) int);
+      (2, map (fun v -> B_varint v) (int_range 0 max_int));
+      (2, map (fun s -> B_string s) small);
+      (3, map (fun k -> B_consume k) (int_range 0 1000));
+      (2, map (fun s -> B_reserve s) small);
+      (2, return B_mark);
+      (2, map (fun v -> B_patch v) (int_range 0 0xffff_ffff));
+      (2, map (fun s -> B_frame s) small) ]
+
+let u32_be v =
+  String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
+
+let fresh_encoding f =
+  let b = Net.Buf.create () in
+  f b;
+  Net.Buf.contents b
+
+let buf_model =
+  Util.qtest ~count:300 "buf: random appends/consumes/patches match a string"
+    QCheck2.Gen.(list_size (int_range 1 80) gen_buf_op)
+    (fun ops ->
+       let b = Net.Buf.create ~cap:16 () in
+       let oracle = ref "" in
+       (* outstanding placeholders, oldest first, as distances from the
+          first pending byte *)
+       let marks = ref [] in
+       let append s = oracle := !oracle ^ s in
+       List.for_all
+         (fun op ->
+            (match op with
+             | B_u8 v ->
+               Net.Buf.put_u8 b v;
+               append (String.make 1 (Char.chr v))
+             | B_u32 v ->
+               Net.Buf.put_u32_be b v;
+               append (u32_be v)
+             | B_i64 v ->
+               Net.Buf.put_i64_be b v;
+               append (fresh_encoding (fun b -> Net.Buf.put_i64_be b v))
+             | B_varint v ->
+               Net.Buf.put_varint b v;
+               append (fresh_encoding (fun b -> Net.Buf.put_varint b v))
+             | B_string s ->
+               Net.Buf.put_string b s;
+               append s
+             | B_consume k ->
+               let k = k mod (String.length !oracle + 1) in
+               Net.Buf.consume b k;
+               oracle := String.sub !oracle k (String.length !oracle - k);
+               marks :=
+                 List.filter_map
+                   (fun m -> if m >= k then Some (m - k) else None)
+                   !marks
+             | B_reserve s ->
+               let n = String.length s in
+               let pos = Net.Buf.reserve b n in
+               Bytes.blit_string s 0 (Net.Buf.bytes b) pos n;
+               Net.Buf.advance b n;
+               append s
+             | B_mark ->
+               marks := !marks @ [ Net.Buf.length b ];
+               Net.Buf.put_u32_be b 0;
+               append (u32_be 0)
+             | B_patch v -> (
+                 match !marks with
+                 | [] -> ()
+                 | m :: rest ->
+                   marks := rest;
+                   Net.Buf.patch_u32_be b m v;
+                   let o = !oracle in
+                   oracle :=
+                     String.sub o 0 m ^ u32_be v
+                     ^ String.sub o (m + 4) (String.length o - m - 4))
+             | B_frame s ->
+               let r = Net.Frame.Err s in
+               Net.Frame.write_resp b r;
+               append (fresh_encoding (fun b -> Net.Frame.write_resp b r)));
+            Net.Buf.length b = String.length !oracle
+            && Net.Buf.contents b = !oracle)
+         ops)
+
 (* ---------------------- live server round trips -------------------- *)
 
 let wire_end_to_end () =
@@ -604,6 +734,75 @@ let wire_slow_reader_backpressure () =
   Unix.close fd;
   Srv.stop srv
 
+(* Both ends of a TCP connection run with Nagle's algorithm off: the
+   client's socket and the one the server's I/O loop adopted.  Both live
+   in this process, so they are found among its open descriptors by the
+   server's port. *)
+let wire_tcp_nodelay () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let module C = Net.Client.Make (Timestamp.Lamport) in
+  let srv =
+    Srv.start ~addr:(Net.Conn.Tcp { host = "127.0.0.1"; port = 0 }) ~n:2 ()
+  in
+  let addr = Srv.bound_addr srv in
+  let port = match addr with Net.Conn.Tcp { port; _ } -> port | _ -> 0 in
+  let c = C.connect addr in
+  ignore (C.stamp c);  (* the server has adopted the connection *)
+  let fds =
+    Sys.readdir "/proc/self/fd" |> Array.to_list
+    |> List.filter_map int_of_string_opt
+    |> List.map (fun i -> (Obj.magic (i : int) : Unix.file_descr))
+  in
+  let inet_port = function Unix.ADDR_INET (_, p) -> Some p | _ -> None in
+  let ends side =
+    List.filter
+      (fun fd ->
+         match (Unix.getsockname fd, Unix.getpeername fd) with
+         | local, peer ->
+           inet_port (if side = `Client then peer else local) = Some port
+         | exception Unix.Unix_error _ -> false)
+      fds
+  in
+  let client_ends = ends `Client and server_ends = ends `Server in
+  Util.check_int "one client end" 1 (List.length client_ends);
+  Util.check_int "one server end" 1 (List.length server_ends);
+  List.iter
+    (fun (label, fd) ->
+       Util.check_bool (label ^ " has TCP_NODELAY") true
+         (Unix.getsockopt fd Unix.TCP_NODELAY))
+    [ ("client", List.hd client_ends); ("server", List.hd server_ends) ];
+  C.close c;
+  Srv.stop srv
+
+(* The reactor's park-and-ring over one loopback TCP connection: each
+   cycle sends one Get_stamp and reads the reply, then sleeps long enough
+   for the shard worker to park and the I/O loop to block in select, so
+   every reply needs the worker's submit wakeup and the loop's doorbell.
+   A lost wakeup stalls the reply past the receive timeout. *)
+let wire_park_ring_stress () =
+  let module Srv = Net.Server.Make (Timestamp.Lamport) in
+  let srv =
+    Srv.start ~addr:(Net.Conn.Tcp { host = "127.0.0.1"; port = 0 }) ~n:2 ()
+  in
+  let fd = raw_connect (Srv.bound_addr srv) in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
+  let req = frame_of Net.Frame.Get_stamp in
+  let last = ref (-1) in
+  for i = 1 to 2000 do
+    write_all fd req;
+    let w =
+      match read_frame fd with
+      | payload -> expect_stamp "stress" payload
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "cycle %d: no reply within 2 s (lost wakeup)" i
+    in
+    Util.check_bool "end ticks advance" true (w.Net.Frame.w_end_tick > !last);
+    last := w.Net.Frame.w_end_tick;
+    Unix.sleepf 200e-6
+  done;
+  Unix.close fd;
+  Srv.stop srv
+
 (* Version negotiation, wire-level: a v1 peer is answered in v1
    (Marshal timestamps, codec "marshal"), except [Compare] — decoding a
    v1 Marshal payload from the network is exactly what v2 removed. *)
@@ -744,6 +943,9 @@ let suite =
         registry_codecs_safe;
       Util.case "frame: v2 stamp writer allocates nothing"
         stamp_writer_zero_alloc;
+      Util.case "frame: length patch survives mid-frame compaction"
+        frame_patch_survives_compaction;
+      buf_model;
       Util.case "conn: address parsing" addr_parsing;
       Util.case "wire: end-to-end over a unix socket" wire_end_to_end;
       Util.case "wire: frames split across byte-sized reads"
@@ -758,6 +960,9 @@ let suite =
         wire_churn_bounded;
       Util.case "wire: session exhaustion is a clean error"
         session_exhaustion_is_clean;
+      Util.case "wire: TCP_NODELAY on both ends" wire_tcp_nodelay;
+      Util.case "wire: park-and-ring survives thousands of idle cycles"
+        wire_park_ring_stress;
       Util.case "lease: concurrent clients stay hb-sound"
         lease_concurrent_clients;
       Util.case "shutdown: graceful with in-flight connections"

@@ -277,6 +277,63 @@ let telemetry_sources_totals () =
      | exception Invalid_argument _ -> true);
   S.stop disarmed
 
+(* Park-and-ring under churn: every cycle submits one request, waits for
+   it, then idles — every fourth cycle sleeps well past the worker's idle
+   spin budget, so the worker parks and the submit has to wake it; the
+   others spin for a varying time around the budget, so submits also land
+   while the worker is in the middle of parking.  The waiter is an event
+   loop's: it parks its doorbell, re-polls the ticket, and only then
+   blocks on the doorbell's pipe.  A lost wakeup on either side leaves a
+   cycle blocked, so each must finish within a deadline. *)
+let park_ring_stress () =
+  let module S = Svc.Service.Make (Timestamp.Lamport) in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  let byte = Bytes.make 1 '!' and scratch = Bytes.create 64 in
+  let bell =
+    Svc.Service.doorbell (fun () ->
+        try ignore (Unix.write w byte 0 1) with Unix.Unix_error _ -> ())
+  in
+  let drain () =
+    try while Unix.read r scratch 0 64 = 64 do () done
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let svc = S.start ~shards:1 ~n:2 () in
+  let session = S.open_session ~doorbell:bell svc in
+  let cycles = 4000 in
+  let last = ref (-1) in
+  for i = 1 to cycles do
+    let tk = S.submit session in
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    let rec wait () =
+      Svc.Service.park bell;
+      if not (S.poll tk) then begin
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then
+          Alcotest.failf "cycle %d: no completion within 2 s (lost wakeup)" i;
+        ignore (Unix.select [ r ] [] [] left);
+        Svc.Service.unpark bell;
+        drain ();
+        wait ()
+      end
+      else Svc.Service.unpark bell
+    in
+    wait ();
+    let resp = S.await tk in
+    S.release session tk;
+    Util.check_bool "end ticks advance" true (resp.S.end_tick > !last);
+    last := resp.S.end_tick;
+    if i mod 4 = 0 then Unix.sleepf 200e-6
+    else
+      for _ = 1 to i * 37 mod 1000 do
+        Domain.cpu_relax ()
+      done
+  done;
+  S.stop svc;
+  Unix.close r;
+  Unix.close w
+
 let suite =
   ( "svc",
     [ Util.case "mpsc drain is FIFO" mpsc_fifo;
@@ -296,4 +353,6 @@ let suite =
       Util.case "free-list exhaustion extends, never blocks"
         freelist_exhaustion_extends;
       Util.case "telemetry sources report exact totals"
-        telemetry_sources_totals ] )
+        telemetry_sources_totals;
+      Util.case "park-and-ring survives thousands of idle cycles"
+        park_ring_stress ] )
